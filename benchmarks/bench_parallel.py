@@ -42,6 +42,10 @@ GROUP_SQL = "SELECT g, count(*), sum(b) FROM events GROUP BY g"
 @pytest.fixture(scope="module")
 def par_db() -> Database:
     db = Database(pool_capacity=4096)
+    # The gate measures the morsel runtime against the serial tuple
+    # interpreter its workers run; pinned so the default execution mode
+    # does not change what the speedup compares.
+    db.settings.execution_mode = "tuple"
     db.execute("CREATE TABLE events (a INTEGER, b INTEGER, g INTEGER)")
     bulk_insert(db, "events",
                 [(i, i % 100, i % 31) for i in range(ROWS)])

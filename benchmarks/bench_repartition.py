@@ -52,6 +52,9 @@ GROUP_SQL = "SELECT cust, avg(amt), count(*) FROM orders GROUP BY cust"
 @pytest.fixture(scope="module")
 def shard_db() -> Database:
     db = Database(pool_capacity=4096)
+    # Partition-wise workers run the tuple interpreter; pinned so the
+    # serial and Gather-merge baselines do too, as the gate assumes.
+    db.settings.execution_mode = "tuple"
     db.execute("CREATE TABLE orders (id INTEGER, cust INTEGER, amt DOUBLE)"
                " PARTITION BY HASH(cust) PARTITIONS %d" % PARTITIONS)
     db.execute("CREATE TABLE cust (cid INTEGER, name VARCHAR(16))")

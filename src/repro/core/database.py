@@ -17,6 +17,7 @@ renders QGM (before/after rewrite) and the chosen plan.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -43,7 +44,7 @@ from repro.language.parser import parse_statement
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.boxopt import OptimizerSettings
 from repro.optimizer.stars import STAR, Alternative, default_star_array
-from repro.core.options import CompileOptions
+from repro.core.options import DEFAULT_EXECUTION_MODE, CompileOptions
 from repro.core.pipeline import CompiledStatement, compile_statement
 from repro.core.plancache import (
     Fingerprint,
@@ -74,8 +75,8 @@ class Settings:
         #: Execution backend: "tuple" (stream interpreter), "batch"
         #: (vectorized where supported), "compiled" (pipeline-fusion
         #: codegen where fusable), or "auto" (refinement decides per
-        #: subtree).
-        self.execution_mode = "tuple"
+        #: subtree; the default).
+        self.execution_mode = DEFAULT_EXECUTION_MODE
         #: Rows per batch for the vectorized backend.
         self.batch_size = 1024
         #: Serve repeated statements from the plan cache ("the result of
@@ -219,10 +220,14 @@ class Database:
         self.engine.log.reinit_locks()
         self.engine.locks.reinit_locks()
         from repro.core import plancache
-        from repro.executor import codegen
 
         plancache.reinit_locks()
-        codegen.reinit_locks()
+        # Only a module the parent already imported can hold a lock;
+        # importing codegen here would cost every forked worker the
+        # whole vectorized + codegen import.
+        codegen = sys.modules.get("repro.executor.codegen")
+        if codegen is not None:
+            codegen.reinit_locks()
 
     # ==== metrics ===============================================================
 

@@ -28,6 +28,13 @@ ENUMERATION_STRATEGIES = ("dp", "greedy")
 #: per subtree, escalating large fusable plans to codegen.
 EXECUTION_MODES = ("tuple", "batch", "compiled", "auto")
 
+#: The execution mode of ``CompileOptions()`` and of a fresh database's
+#: ``Settings`` — one definition, so both snapshot to the same plan-cache
+#: key.  ``auto`` demotes every subtree it cannot run faster back to the
+#: tuple interpreter, and skips backend selection entirely for plans
+#: where no leaf reads enough rows to leave it (point statements).
+DEFAULT_EXECUTION_MODE = "auto"
+
 #: Legal values for :attr:`CompileOptions.parallelism`.  ``off`` never
 #: splices Exchanges; ``auto`` parallelizes only when the cost model says
 #: the scanned rows amortize worker startup; ``on`` bypasses the cost gate
@@ -65,7 +72,7 @@ class CompileOptions:
                  naive_recursion: bool = False,
                  forced_join_method: Optional[str] = None,
                  join_enumeration: str = "dp",
-                 execution_mode: str = "tuple",
+                 execution_mode: str = DEFAULT_EXECUTION_MODE,
                  batch_size: int = 1024,
                  parallelism: str = "off",
                  dop: int = 4,
@@ -159,7 +166,8 @@ class CompileOptions:
             naive_recursion=optimizer.naive_recursion,
             forced_join_method=getattr(optimizer, "forced_join_method", None),
             join_enumeration=getattr(optimizer, "join_enumeration", "dp"),
-            execution_mode=getattr(settings, "execution_mode", "tuple"),
+            execution_mode=getattr(settings, "execution_mode",
+                                   DEFAULT_EXECUTION_MODE),
             batch_size=getattr(settings, "batch_size", 1024),
             parallelism=getattr(settings, "parallelism", "off"),
             dop=getattr(settings, "dop", 4),
@@ -207,10 +215,10 @@ class CompileOptions:
             parts.append("bushy")
         if self.allow_cartesian:
             parts.append("cartesian")
-        if self.execution_mode != "tuple":
+        if self.execution_mode != DEFAULT_EXECUTION_MODE:
             parts.append(self.execution_mode)
-            if self.batch_size != 1024:
-                parts.append("bs%d" % self.batch_size)
+        if self.execution_mode != "tuple" and self.batch_size != 1024:
+            parts.append("bs%d" % self.batch_size)
         if self.parallelism != "off":
             parts.append("parallel" if self.parallelism == "on"
                          else "parallel-auto")

@@ -178,7 +178,9 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
         from repro.executor.compiled import refine_plan
 
         refiner = refine_plan(plan, db.functions)
-    if options.execution_mode != "tuple":
+    select = options.execution_mode != "tuple" and (
+        options.execution_mode != "auto" or _auto_candidate(plan))
+    if select:
         # Backend selection is a refinement too: the ExecBackend STAR
         # marks each subtree for the vectorized engine where supported;
         # the codegen selector additionally offers the fused backend for
@@ -201,7 +203,7 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
     if trace is not None:
         trace.event("phase", name="refine", seconds=timings.refine)
 
-    if options.execution_mode in ("compiled", "auto") and plan is not None:
+    if select and options.execution_mode in ("compiled", "auto"):
         # Program generation runs after the parallel glue: exchange
         # splices reshape the tree, and regions they break demote to the
         # batch engine here rather than fusing a stale shape.
@@ -237,6 +239,22 @@ def _qgm_dependencies(qgm: QGM) -> frozenset:
         if view_name:
             names.add(view_name)
     return frozenset(names)
+
+
+def _auto_candidate(plan: PlanOp) -> bool:
+    """Auto-mode pre-check: could any subtree leave the tuple backend?
+
+    Auto marks a subtree batch or compiled only when every leaf under it
+    reads enough rows (``_leaf_rows_ok``).  When no leaf of the plan —
+    subplans included — does, selection would mark every node tuple, so
+    skipping it yields the same plan without building the batch closures
+    (or importing the batch and codegen engines) a point statement never
+    uses.
+    """
+    from repro.executor.run import _leaf_rows_ok
+
+    return any(not node.children and _leaf_rows_ok(node)
+               for node in plan.walk())
 
 
 def _refine_check(plan: PlanOp) -> None:

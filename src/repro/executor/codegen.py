@@ -64,7 +64,7 @@ from repro.executor.context import ExecutionContext
 from repro.executor.evaluator import _like_regex
 from repro.executor.kinds import default_join_kinds
 from repro.executor import vectorized
-from repro.executor.run import _null_last_key
+from repro.executor.run import _null_last_key, _scan_partition
 from repro.optimizer import plans as pl
 from repro.qgm import expressions as qe
 
@@ -92,7 +92,7 @@ def _np(index):
 
 def _exec_globals() -> Dict[str, Any]:
     return {"Source": vectorized._RecordSource, "_dz": _dz, "_np": _np,
-            "_MISS": _MISS, "_E": ()}
+            "_MISS": _MISS, "_E": (), "_part": _scan_partition}
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +547,7 @@ def _subst(expr: qe.QExpr, mapping: Dict[Any, list]) -> qe.QExpr:
 # ---------------------------------------------------------------------------
 
 #: Auto mode escalates to codegen only for scans at least this large;
-#: between AUTO_MIN_ROWS and this the batch engine already wins and
+#: between run.AUTO_MIN_ROWS and this the batch engine already wins and
 #: codegen's per-statement generation cost is not worth paying.
 AUTO_COMPILED_MIN_ROWS = 4096.0
 
@@ -1076,8 +1076,9 @@ def _assemble(scan, scan_positions, consumes, gen, prologue,
         out("    " + line)
     out("    _scan = rt.scan")
     out("    _pr = ctx.morsel_range if _scan is ctx.morsel_scan else None")
+    out("    _pt = _part(_scan, ctx, {})")
     out("    for _mk, _recs in _engine.scan_batches("
-        "ctx.txn, %r, ctx.batch_size, _pr):" % scan.table.name)
+        "ctx.txn, %r, ctx.batch_size, _pr, _pt):" % scan.table.name)
     out("        _n = len(_recs)")
     out("        stats.rows_scanned += _n")
     if scan_positions:

@@ -50,6 +50,30 @@ def execute_plan(plan: pl.PlanOp, ctx: ExecutionContext
     return rows_iter(plan, ctx, {})
 
 
+#: Auto mode only batches subtrees whose leaf scans *read* at least this
+#: many rows; below it, batch setup overhead beats per-row dispatch.
+AUTO_MIN_ROWS = 32.0
+
+
+def _leaf_rows_ok(node: pl.PlanOp) -> bool:
+    """Auto-mode heuristic: does this leaf *read* enough rows to batch?
+
+    Scans record their ``TableStatistics``-driven input cardinality
+    (table row count for SCAN, matched-range size for ISCAN) at plan
+    time; that — not the post-predicate output estimate in
+    ``props.card`` — is the work the batch backend amortizes, so a
+    large-table scan behind a selective filter still batches.  Lives
+    here, beside the backend dispatch, so the compile pipeline's auto
+    pre-check can ask it without importing the batch engine.
+    """
+    if not node.children:
+        rows = getattr(node, "input_rows", None)
+        if rows is None:
+            rows = node.props.card
+        return rows >= AUTO_MIN_ROWS
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Row streams
 # ---------------------------------------------------------------------------
@@ -477,16 +501,25 @@ def _pruned_partition(evaluator: Evaluator, plan: pl.TableScan,
     return None
 
 
+def _scan_partition(plan: pl.TableScan, ctx: ExecutionContext,
+                    env: Env) -> Optional[int]:
+    """The one shard a table scan reads, or None for the whole table:
+    the worker's assigned partition under a PARTITIONGATHER, else the
+    shard an equality predicate prunes to.  Shared by all three
+    backends' table scans."""
+    if ctx.partition_map is not None:
+        return ctx.partition_map.get(id(plan))
+    if plan.table.partition_by and plan.table.partitions > 1:
+        return _pruned_partition(Evaluator(ctx), plan, env, ctx)
+    return None
+
+
 def _run_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
                     env: Env) -> Iterator[Env]:
     evaluator = Evaluator(ctx)
     quantifier = plan.quantifier
     page_range = ctx.morsel_range if plan is ctx.morsel_scan else None
-    partition = None
-    if ctx.partition_map is not None:
-        partition = ctx.partition_map.get(id(plan))
-    elif plan.table.partition_by and plan.table.partitions > 1:
-        partition = _pruned_partition(evaluator, plan, env, ctx)
+    partition = _scan_partition(plan, ctx, env)
     for rid, row in ctx.engine.scan(ctx.txn, plan.table.name, page_range,
                                     partition=partition):
         ctx.stats.rows_scanned += 1

@@ -71,8 +71,13 @@ class Config:
 
 
 def default_matrix() -> List[Config]:
-    """Every engine configuration a query must agree with the oracle on."""
-    base = CompileOptions()
+    """Every engine configuration a query must agree with the oracle on.
+
+    The base is pinned to the tuple interpreter, not the default mode:
+    it is the reference the byte-identical configs compare against, and
+    the other configs vary one knob at a time from it.
+    """
+    base = CompileOptions(execution_mode="tuple")
     return [
         Config("default", base),
         Config("no-rewrite", base.replace(rewrite_enabled=False)),
@@ -99,6 +104,9 @@ def default_matrix() -> List[Config]:
         Config("batch", base.replace(execution_mode="batch")),
         Config("batch-1", base.replace(execution_mode="batch",
                                        batch_size=1)),
+        # The default mode: refinement picks a backend per subtree, so
+        # rows may come out in another order than the tuple run's.
+        Config("auto", base.replace(execution_mode="auto")),
         # Plan-cache serving path: run twice through the shared
         # database; the second execution must be a cache hit and must
         # return byte-for-byte what a cache-off compile returns.

@@ -98,6 +98,18 @@ def _run_workload(address, repeats=3):
     return observed, errors
 
 
+def _finished_trace(server, trace_id, timeout=5.0):
+    """The completed trace, waiting out the wire loop's hand-off: the
+    root span closes after the response flush, so a client can read its
+    last response a moment before the server files that trace."""
+    deadline = time.monotonic() + timeout
+    trace = server.tracing.find(trace_id)
+    while trace is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+        trace = server.tracing.find(trace_id)
+    return trace
+
+
 class TestTraceLatencyAccounting:
     def test_every_sampled_request_accounts_for_its_latency(self, traced):
         observed, errors = _run_workload(traced.address())
@@ -108,7 +120,7 @@ class TestTraceLatencyAccounting:
         assert len(set(trace_ids)) == len(trace_ids)
         server = traced.server
         for trace_id, client_ms, statement in observed:
-            trace = server.tracing.find(trace_id)
+            trace = _finished_trace(server, trace_id)
             assert trace is not None, \
                 "trace %s for %r fell out of the ring" % (trace_id,
                                                           statement)

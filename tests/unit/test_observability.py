@@ -56,7 +56,8 @@ def _options(db, **overrides) -> CompileOptions:
 class TestPlanProfile:
     def test_tuple_path_counts_rows_and_time(self, obs_db):
         result = obs_db.execute("SELECT id FROM t WHERE v < 3",
-                                options=_options(obs_db, analyze=True))
+                                options=_options(obs_db, analyze=True,
+                                                 execution_mode="tuple"))
         profile = result.profile
         assert profile is not None
         scan = next(n for n in profile.plan.walk()
@@ -123,7 +124,7 @@ class TestParallelMerge:
         result = obs_db.execute(
             "SELECT id, v + g FROM t WHERE v < 30",
             options=_options(obs_db, parallelism="on", dop=4,
-                             analyze=True))
+                             analyze=True, execution_mode="tuple"))
         profile = result.profile
         exchange = next(n for n in profile.plan.walk()
                         if n.op_name.startswith("GATHER"))

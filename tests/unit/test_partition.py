@@ -219,6 +219,20 @@ class TestPartitionPruning:
         reference = [(i,) for i in range(3000) if (i * 7) % 200 == 17]
         assert result.rows == reference
 
+    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    def test_every_backend_prunes(self, shard_db, mode):
+        result = shard_db.execute(
+            "SELECT id FROM orders WHERE cust = 17",
+            options=_options(shard_db, execution_mode=mode))
+        assert result.stats.partitions_pruned == 2
+        assert result.stats.rows_scanned < 3000
+        assert result.rows == [(i,) for i in range(3000)
+                               if (i * 7) % 200 == 17]
+        if mode == "batch":
+            assert result.stats.batches > 0
+        if mode == "compiled":
+            assert result.stats.codegen_pipelines > 0
+
     def test_pruned_scan_preserves_serial_order(self, shard_db):
         pruned = shard_db.execute(
             "SELECT id, amt FROM orders WHERE cust = 42").rows
@@ -368,7 +382,8 @@ class TestDegradationHonesty:
         from repro.executor.run import rows_iter
         from repro.optimizer import plans as pl
 
-        options = _options(shard_db, parallelism="on", dop=3)
+        options = _options(shard_db, parallelism="on", dop=3,
+                           execution_mode="tuple")
         compiled = shard_db.compile(SELF_JOIN_SQL, options=options)
         repartition = next(node for node in compiled.plan.walk()
                            if isinstance(node, pl.Repartition))

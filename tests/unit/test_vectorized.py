@@ -40,7 +40,8 @@ def _options(db, **overrides) -> CompileOptions:
 
 
 def _both(db, sql, **overrides):
-    tuple_result = db.execute(sql, options=_options(db))
+    tuple_result = db.execute(
+        sql, options=_options(db, execution_mode="tuple"))
     batch_result = db.execute(
         sql, options=_options(db, execution_mode="batch", **overrides))
     return tuple_result, batch_result
@@ -96,7 +97,8 @@ def test_auto_mode_subquery_falls_back_per_subtree(batch_db):
     below them still run batch, and the stats make the boundary visible."""
     sql = ("SELECT a, (SELECT v FROM s WHERE s.k = t.b) FROM t "
            "WHERE a < 200 ORDER BY a")
-    tuple_result = batch_db.execute(sql, options=_options(batch_db))
+    tuple_result = batch_db.execute(
+        sql, options=_options(batch_db, execution_mode="tuple"))
     auto_result = batch_db.execute(
         sql, options=_options(batch_db, execution_mode="auto"))
     assert auto_result.rows == tuple_result.rows
@@ -110,7 +112,8 @@ def test_auto_mode_batches_big_scan_behind_selective_filter(batch_db):
     predicate on a 300-row table still pays a 300-row scan, so it must
     batch even though only one row survives."""
     sql = "SELECT a, tag FROM t WHERE a = 123"
-    tuple_result = batch_db.execute(sql, options=_options(batch_db))
+    tuple_result = batch_db.execute(
+        sql, options=_options(batch_db, execution_mode="tuple"))
     auto_result = batch_db.execute(
         sql, options=_options(batch_db, execution_mode="auto"))
     assert auto_result.rows == tuple_result.rows == [(123, "t3")]
@@ -140,7 +143,8 @@ def test_auto_mode_small_table_stays_tuple(batch_db):
 
 def test_explain_shows_backend_marks(batch_db):
     sql = "SELECT a FROM t WHERE b = 1"
-    plain = batch_db.explain(sql)
+    plain = batch_db.explain(sql, options=_options(batch_db,
+                                                  execution_mode="tuple"))
     marked = batch_db.explain(
         sql, options=_options(batch_db, execution_mode="batch"))
     assert "backend=batch" not in plain
