@@ -62,19 +62,23 @@ def cg_db() -> Database:
     return db
 
 
-def _time(db: Database, sql: str, options: CompileOptions):
-    """Min-of-N wall time for the execution phase only (shared compile)."""
-    compiled = db.compile(sql, options=options)
-    best = None
-    rows = None
+def _time_interleaved(db: Database, sql: str, legs):
+    """Min-of-N wall time of the execution phase (compiles are shared)
+    for each leg's options.  The legs take turns within every repeat, so
+    a change in host speed during the measurement reaches all of them
+    rather than deciding their ratio."""
+    compiled = [db.compile(sql, options=options) for options in legs]
+    best = [None] * len(legs)
+    results = [None] * len(legs)
     for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = db.run_compiled(compiled)
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-        rows = result.rows
-    return best, rows, result.stats
+        for leg, statement in enumerate(compiled):
+            started = time.perf_counter()
+            results[leg] = db.run_compiled(statement)
+            elapsed = time.perf_counter() - started
+            if best[leg] is None or elapsed < best[leg]:
+                best[leg] = elapsed
+    return [(seconds, result.rows, result.stats)
+            for seconds, result in zip(best, results)]
 
 
 def _measure(db: Database, sql: str, force_join=None):
@@ -84,11 +88,10 @@ def _measure(db: Database, sql: str, force_join=None):
         execution_mode="tuple")
     if force_join is not None:
         base = base.replace(forced_join_method=force_join)
-    tuple_s, tuple_rows, _ = _time(db, sql, base)
-    batch_s, batch_rows, _ = _time(
-        db, sql, base.replace(execution_mode="batch"))
-    fused_s, fused_rows, stats = _time(
-        db, sql, base.replace(execution_mode="compiled"))
+    (tuple_s, tuple_rows, _), (batch_s, batch_rows, _), \
+        (fused_s, fused_rows, stats) = _time_interleaved(db, sql, [
+            base, base.replace(execution_mode="batch"),
+            base.replace(execution_mode="compiled")])
     # Fused pipelines must be byte-identical to the tuple interpreter.
     assert fused_rows == tuple_rows
     assert sorted(map(repr, batch_rows)) == sorted(map(repr, tuple_rows))

@@ -7,10 +7,15 @@ subquery when the correlation values have not changed."
 
 Measured: actual subquery evaluations and wall-clock with the correlation
 cache on vs off, on a correlated query whose correlation values repeat
-(500 outer rows, 2 distinct correlation values).
+(500 outer rows, 2 distinct correlation values).  A second leg runs a
+correlated EXISTS whose correlation values never repeat, per row and
+set-wise (decorrelated into a hash semijoin).
 """
 
+import time
+
 from benchmarks.conftest import print_table
+from repro import CompileOptions
 from repro.executor.context import ExecutionContext
 from repro.executor.run import execute_plan
 
@@ -52,3 +57,47 @@ def test_e8_summary(parts_db, benchmark):
          ("cache off", plain.subquery_evaluations,
           plain.subquery_cache_hits)])
     assert cached.subquery_evaluations * 100 <= plain.subquery_evaluations
+
+
+#: Unique correlation values (the outer partno is the primary key), so
+#: the correlation cache cannot help the per-row strategy.
+SET_WISE_SQL = ("SELECT partno, onhand_qty FROM inventory i "
+                "WHERE i.partno < 100 AND EXISTS (SELECT 1 FROM quotations q "
+                "WHERE q.partno = i.partno AND q.order_qty > 10)")
+
+
+def _best_of(db, compiled, repeats=3):
+    best = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = db.run_compiled(compiled)
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def test_e8_set_wise(parts_db, benchmark):
+    """The same correlated EXISTS per row (SUBQJOIN: one evaluation per
+    distinct correlation value) and set-wise (HASHJOIN[exists] over the
+    decorrelated subquery, evaluated once as the hash build)."""
+    per_row = parts_db.compile(SET_WISE_SQL, options=CompileOptions(
+        forced_join_method="nl"))
+    set_wise = parts_db.compile(SET_WISE_SQL)
+    assert "SUBQJOIN[exists]" in per_row.plan.explain()
+    assert "HASHJOIN[exists]" in set_wise.plan.explain()
+    per_row_s, per_row_result = _best_of(parts_db, per_row)
+    set_wise_s, set_wise_result = benchmark(_best_of, parts_db, set_wise)
+    assert sorted(set_wise_result.rows) == sorted(per_row_result.rows)
+    print_table(
+        "E8: correlated EXISTS per row vs set-wise (100 outer rows, "
+        "unique correlation values)",
+        ["strategy", "plan", "subquery evals", "wall (s)", "rows"],
+        [("per row", "SUBQJOIN[exists]",
+          per_row_result.stats.subquery_evaluations, "%.4f" % per_row_s,
+          len(per_row_result.rows)),
+         ("set-wise", "HASHJOIN[exists]",
+          set_wise_result.stats.subquery_evaluations, "%.4f" % set_wise_s,
+          len(set_wise_result.rows))])
+    assert per_row_result.stats.subquery_evaluations == 100
+    assert set_wise_result.stats.subquery_evaluations == 0
+    assert set_wise_s < per_row_s

@@ -575,6 +575,12 @@ def _fuse_reason(node: pl.PlanOp, kinds, functions) -> Optional[str]:
         kind = kinds.get(node.kind, functions)
         if kind.preserves_outer:
             return "outer-join padding"
+        if kind.combine is not None and not kind.semijoin:
+            return "join kind %s" % kind.name
+        # A semi/anti join fuses as an existence probe that never binds
+        # the inner: the source bakes in its verdicts.
+        node.codegen_semijoin = (kind.semijoin_verdicts() if kind.semijoin
+                                 else None)
         for expr in list(node.outer_keys) + list(node.inner_keys):
             reason = _inline_reason(expr)
             if reason:
@@ -953,11 +959,25 @@ def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
             name = "_k%d_%d" % (k, m)
             body.append((indent, "%s = %s" % (name, gen.value(expr))))
             comps.append(name)
+        null_key = " or ".join("%s is None" % c for c in comps)
+        key = "(%s%s)" % (", ".join(comps), "," if comps else "")
+        semijoin = getattr(_node, "codegen_semijoin", None)
+        if semijoin is not None:
+            # Semi/anti join (never with residual): an existence test
+            # keeps or drops the outer row; a NULL key matches nothing.
+            found = "_ht%d(%s) is not None" % (k, key)
+            if comps:
+                found = "not (%s) and %s" % (null_key, found)
+            emit_missing, emit_found = semijoin
+            if emit_missing != emit_found:
+                body.append((indent, "if %s(%s): continue"
+                             % ("not " if emit_found else "", found)))
+            elif not emit_found:
+                body.append((indent, "continue"))
+            continue
         if comps:
-            body.append((indent, "if %s: continue"
-                         % " or ".join("%s is None" % c for c in comps)))
-        body.append((indent, "for _r%d in _ht%d((%s%s), _E):"
-                     % (k, k, ", ".join(comps), "," if comps else "")))
+            body.append((indent, "if %s: continue" % null_key))
+        body.append((indent, "for _r%d in _ht%d(%s, _E):" % (k, k, key)))
         indent += 1
         for expr in exprs[1]:
             body.append((indent, "if not %s: continue" % gen.cond(expr)))

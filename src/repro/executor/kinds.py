@@ -28,19 +28,29 @@ class JoinKind:
     - ``combine`` — for subquery kinds: fold the per-inner-row predicate
       outcomes into one verdict (None means "not a subquery kind"),
     - ``scalar`` — the inner must produce at most one row, which is bound
-      (NULLs when empty).
+      (NULLs when empty),
+    - ``semijoin`` — the verdict asks only whether some inner row
+      qualifies, so the NL / merge / hash methods can run the kind: each
+      outer row is emitted at most once, by :meth:`semijoin_verdicts`.
+      Other combine kinds need every inner row's three-valued outcome and
+      run only as SUBQJOIN.
     """
 
     def __init__(self, name: str, binds_inner: bool = False,
                  preserves_outer: bool = False,
                  combine: Optional[Callable[[Iterable[Optional[bool]]],
                                             Optional[bool]]] = None,
-                 scalar: bool = False):
+                 scalar: bool = False, semijoin: bool = False):
         self.name = name
         self.binds_inner = binds_inner
         self.preserves_outer = preserves_outer
         self.combine = combine
         self.scalar = scalar
+        self.semijoin = semijoin
+
+    def semijoin_verdicts(self):
+        """``(emits when no inner row qualifies, emits when one does)``."""
+        return self.combine(()) is True, self.combine((True,)) is True
 
 
 def _combine_not_exists(outcomes: Iterable[Optional[bool]]) -> Optional[bool]:
@@ -84,8 +94,10 @@ def default_join_kinds() -> JoinKindRegistry:
     registry.register(JoinKind("regular", binds_inner=True))
     registry.register(JoinKind("left_outer", binds_inner=True,
                                preserves_outer=True))
-    registry.register(JoinKind("exists", combine=combine_any))
-    registry.register(JoinKind("not_exists", combine=_combine_not_exists))
+    registry.register(JoinKind("exists", combine=combine_any,
+                               semijoin=True))
+    registry.register(JoinKind("not_exists", combine=_combine_not_exists,
+                               semijoin=True))
     registry.register(JoinKind("all", combine=combine_all))
     registry.register(JoinKind("scalar", binds_inner=True, scalar=True))
     return registry

@@ -650,10 +650,23 @@ def _pad_nulls(env: Env, quantifiers) -> Env:
     return out
 
 
+def _method_kind(plan, ctx: ExecutionContext):
+    """A join method's kind, plus its semi/anti join verdicts (None for
+    binding kinds).  Other combine kinds need every inner row's
+    three-valued outcome, which only SUBQJOIN computes."""
+    kind = _kinds(ctx).get(plan.kind, ctx.functions)
+    if kind.combine is None:
+        return kind, None
+    if not kind.semijoin:
+        raise ExecutionError("join kind %s cannot run as %s; it needs "
+                             "SUBQJOIN" % (kind.name, plan.op_name))
+    return kind, kind.semijoin_verdicts()
+
+
 def _run_nl_join(plan: pl.NLJoin, ctx: ExecutionContext,
                  env: Env) -> Iterator[Env]:
     evaluator = Evaluator(ctx)
-    kind = _kinds(ctx).get(plan.kind, ctx.functions)
+    kind, verdicts = _method_kind(plan, ctx)
     outer_plan, inner_plan = plan.children
     inner_cached: Optional[List[Env]] = None
     if isinstance(inner_plan, pl.Temp):
@@ -667,6 +680,11 @@ def _run_nl_join(plan: pl.NLJoin, ctx: ExecutionContext,
                 {**outer_env, **cached} for cached in inner_cached)
         else:
             inner_stream = env_iter(inner_plan, ctx, outer_env)
+        if verdicts is not None:
+            if verdicts[any(_scan_preds_ok(evaluator, plan.preds, merged)
+                            for merged in inner_stream)]:
+                yield outer_env
+            continue
         for merged in inner_stream:
             if _scan_preds_ok(evaluator, plan.preds, merged):
                 matched = True
@@ -688,7 +706,7 @@ def _join_key(evaluator: Evaluator, exprs, env: Env) -> Optional[Tuple]:
 def _run_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
                    env: Env) -> Iterator[Env]:
     evaluator = Evaluator(ctx)
-    kind = _kinds(ctx).get(plan.kind, ctx.functions)
+    kind, verdicts = _method_kind(plan, ctx)
     outer_plan, inner_plan = plan.children
     table: Dict[Tuple, List[Env]] = {}
     for inner_env in env_iter(inner_plan, ctx, env):
@@ -699,13 +717,19 @@ def _run_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
 
     for outer_env in env_iter(outer_plan, ctx, env):
         key = _join_key(evaluator, plan.outer_keys, outer_env)
+        bucket = table.get(key, ()) if key is not None else ()
+        if verdicts is not None:
+            if verdicts[any(_scan_preds_ok(evaluator, plan.residual,
+                                           {**outer_env, **inner_env})
+                            for inner_env in bucket)]:
+                yield outer_env
+            continue
         matched = False
-        if key is not None:
-            for inner_env in table.get(key, ()):
-                merged = {**outer_env, **inner_env}
-                if _scan_preds_ok(evaluator, plan.residual, merged):
-                    matched = True
-                    yield merged
+        for inner_env in bucket:
+            merged = {**outer_env, **inner_env}
+            if _scan_preds_ok(evaluator, plan.residual, merged):
+                matched = True
+                yield merged
         if not matched and kind.preserves_outer:
             yield _pad_nulls(outer_env, inner_pad)
 
@@ -720,7 +744,7 @@ def _run_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
     import bisect
 
     evaluator = Evaluator(ctx)
-    kind = _kinds(ctx).get(plan.kind, ctx.functions)
+    kind, verdicts = _method_kind(plan, ctx)
     outer_plan, inner_plan = plan.children
     inner: List[Tuple[Tuple, Env]] = []
     for inner_env in env_iter(inner_plan, ctx, env):
@@ -731,18 +755,28 @@ def _run_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
     keys_only = [pair[0] for pair in inner]
     inner_pad = _inner_quantifiers(inner_plan)
 
+    def group(key) -> Iterator[Env]:
+        if key is None:
+            return
+        index = bisect.bisect_left(keys_only, key)
+        while index < len(inner) and inner[index][0] == key:
+            yield inner[index][1]
+            index += 1
+
     for outer_env in env_iter(outer_plan, ctx, env):
         key = _join_key(evaluator, plan.outer_keys, outer_env)
+        if verdicts is not None:
+            if verdicts[any(_scan_preds_ok(evaluator, plan.residual,
+                                           {**outer_env, **inner_env})
+                            for inner_env in group(key))]:
+                yield outer_env
+            continue
         matched = False
-        if key is not None:
-            start = bisect.bisect_left(keys_only, key)
-            index = start
-            while index < len(inner) and inner[index][0] == key:
-                merged = {**outer_env, **inner[index][1]}
-                if _scan_preds_ok(evaluator, plan.residual, merged):
-                    matched = True
-                    yield merged
-                index += 1
+        for inner_env in group(key):
+            merged = {**outer_env, **inner_env}
+            if _scan_preds_ok(evaluator, plan.residual, merged):
+                matched = True
+                yield merged
         if not matched and kind.preserves_outer:
             yield _pad_nulls(outer_env, inner_pad)
 

@@ -577,6 +577,9 @@ def _b_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
             table.setdefault(key, []).append(build_idx[p])
     inner_keys = inner.keys()
     residual = plan.batch_residual
+    # Semi/anti joins (no residual: see _capable) keep an outer row by
+    # whether its bucket exists, narrowing the outer batch's selection.
+    verdicts = kind.semijoin_verdicts() if kind.semijoin else None
 
     for obatch in _env_batches(outer_plan, ctx, env):
         oidx = obatch.indices()
@@ -584,6 +587,16 @@ def _b_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
             continue
         okey_columns = [fn(obatch, oidx, params)
                         for fn in plan.batch_outer_keys]
+        if verdicts is not None:
+            sel = []
+            for p, oi in enumerate(oidx):
+                key = tuple(col[p] for col in okey_columns)
+                if verdicts[None not in key and key in table]:
+                    sel.append(oi)
+            if sel:
+                obatch.sel = sel
+                yield obatch
+            continue
         pairs_outer: List[int] = []
         pairs_inner: List[int] = []
         bounds: List[Tuple[int, int]] = []
@@ -1094,10 +1107,17 @@ def _capable(node: pl.PlanOp, compiler: ExprCompiler, kinds,
             kind = kinds.get(node.kind, functions)
         except Exception:
             return False
-        # The batch hash/merge joins implement exactly the binding
-        # semantics (regular/left_outer-shaped kinds); combine-driven
-        # semijoins and scalar kinds keep the interpreter.
-        if not kind.binds_inner or kind.scalar or kind.combine is not None:
+        # The batch hash/merge joins implement the binding semantics
+        # (regular/left_outer-shaped kinds); the hash join also runs
+        # semi/anti joins without residual.  Other combine kinds and
+        # scalar kinds keep the interpreter.
+        if kind.scalar:
+            return False
+        if kind.combine is not None:
+            if not (kind.semijoin and node_type is pl.HashJoin
+                    and not node.residual):
+                return False
+        elif not kind.binds_inner:
             return False
         outer_q = node.children[0].props.quantifiers
         inner_q = node.children[1].props.quantifiers

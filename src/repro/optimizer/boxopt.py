@@ -53,6 +53,8 @@ from repro.qgm.model import (
     DeleteBox,
     DistinctMode,
     GroupByBox,
+    Head,
+    HeadColumn,
     InsertBox,
     Predicate,
     Quantifier,
@@ -286,8 +288,8 @@ class Optimizer:
         correlation = self._correlation_refs(quantifier.input)
         return SubplanBinding(quantifier, plan, correlation)
 
-    def _correlation_refs(self, box: Box) -> List[qe.ColRef]:
-        """Column references inside ``box``'s subtree that escape it."""
+    @staticmethod
+    def _subtree(box: Box) -> Set[Box]:
         subtree: Set[Box] = set()
         stack = [box]
         while stack:
@@ -297,6 +299,11 @@ class Optimizer:
             subtree.add(current)
             for quantifier in current.quantifiers:
                 stack.append(quantifier.input)
+        return subtree
+
+    def _correlation_refs(self, box: Box) -> List[qe.ColRef]:
+        """Column references inside ``box``'s subtree that escape it."""
+        subtree = self._subtree(box)
         inside = {q for b in subtree for q in b.quantifiers}
         refs: List[qe.ColRef] = []
         seen: Set[str] = set()
@@ -363,7 +370,9 @@ class Optimizer:
             kind = self._kind_for(quantifier)
             joined = self.generator.evaluate(
                 "SubqueryRoot", outer=plan, binding=bindings[quantifier],
-                kind=kind, preds=preds)
+                kind=kind, preds=preds,
+                decorrelated=self._decorrelate(quantifier, kind, preds,
+                                               plan))
             if not joined:
                 raise OptimizerError(
                     "no subquery strategy for %s" % quantifier.name)
@@ -390,6 +399,77 @@ class Optimizer:
                                     kind, [])
                 handled.add(quantifier)
         return plan
+
+    def _decorrelate(self, quantifier: Quantifier, kind: str,
+                     preds: List[Predicate], outer: PlanOp):
+        """The set-wise form of a correlated [NOT] EXISTS, or None.
+
+        Applies when the SUBQJOIN predicate is the bare EXISTS test and
+        every outer reference (if any) sits in a conjunct
+        ``inner = outer`` of the subquery's own SELECT box, each side over
+        one level only.  Plans a shallow copy of that box without those
+        conjuncts whose head is their inner sides, and returns ``(inner
+        plan, outer keys, inner keys)`` for a hash join of the same kind.
+
+        The set-wise plan evaluates the rest of the subquery on rows the
+        per-row plan never reaches (keys no outer row asks for), so
+        nothing in it may raise: no division, function, cast or nested
+        subquery, over SELECT boxes and stored tables only.
+        """
+        if kind not in ("exists", "not_exists") or len(preds) != 1:
+            return None
+        test = preds[0].expr
+        box = quantifier.input
+        if not (isinstance(test, qe.ExistsTest)
+                and test.quantifier is quantifier
+                and type(box) is SelectBox
+                and "operation" not in box.annotations):
+            return None
+        own = set(box.quantifiers)
+        outer_quantifiers = outer.props.quantifiers
+        local: List[Predicate] = []
+        outer_keys: List[qe.QExpr] = []
+        inner_keys: List[qe.QExpr] = []
+        for predicate in box.predicates:
+            if predicate.quantifiers() <= own:
+                local.append(predicate)
+                continue
+            pair = _correlation_pair(predicate.expr, own, outer_quantifiers)
+            if pair is None:
+                return None
+            inner_keys.append(pair[0])
+            outer_keys.append(pair[1])
+        decorrelated = SelectBox()
+        decorrelated.quantifiers = list(box.quantifiers)
+        decorrelated.predicates = local
+        # An uncorrelated subquery keeps its own head: the hash join then
+        # has no keys, and one bucket holds every row.
+        decorrelated.head = Head(
+            [HeadColumn("k%d" % (i + 1), expr)
+             for i, expr in enumerate(inner_keys)]
+            or [HeadColumn(c.name, c.expr) for c in box.head.columns],
+            DistinctMode.PERMIT)
+        subtree = self._subtree(decorrelated)
+        exprs = [c.expr for c in box.head.columns] + outer_keys
+        for member in subtree:
+            if type(member) not in (SelectBox, BaseTableBox) \
+                    or "operation" in member.annotations \
+                    or member.subquery_quantifiers():
+                return None
+            exprs.extend(p.expr for p in member.predicates)
+            exprs.extend(c.expr for c in member.head.columns
+                         if c.expr is not None)
+        if any(_may_raise(expr) for expr in exprs) \
+                or any(q not in own for column in box.head.columns
+                       for q in qe.quantifiers_in(column.expr)) \
+                or self._correlation_refs(decorrelated):
+            return None
+        keys = Quantifier("%s_keys" % quantifier.name, "F", decorrelated)
+        inner = DerivedScan(self.cm, self.plan_box(decorrelated),
+                            decorrelated, keys)
+        return inner, outer_keys, [
+            qe.ColRef(keys, column.name, column.dtype)
+            for column in decorrelated.head.columns[:len(outer_keys)]]
 
     @staticmethod
     def _needs_general_evaluation(predicate: Predicate,
@@ -622,6 +702,29 @@ class _SingletonPlan(PlanOp):
 
     def describe(self) -> str:
         return "SINGLETON"
+
+
+def _correlation_pair(expr: qe.QExpr, own: Set[Quantifier],
+                      outer: frozenset):
+    """``(inner side, outer side)`` of a correlation conjunct
+    ``inner = outer`` whose sides reference only the subquery box's own
+    iterators and only the outer plan's, respectively; else None."""
+    if not (isinstance(expr, qe.BinOp) and expr.op == "="):
+        return None
+    for inner, other in ((expr.left, expr.right), (expr.right, expr.left)):
+        inner_refs = qe.quantifiers_in(inner)
+        outer_refs = qe.quantifiers_in(other)
+        if inner_refs and outer_refs and inner_refs <= own \
+                and outer_refs <= outer:
+            return inner, other
+    return None
+
+
+def _may_raise(expr: qe.QExpr) -> bool:
+    """Can evaluating ``expr`` raise for some row?"""
+    return any(isinstance(node, (qe.FuncCall, qe.Cast))
+               or (isinstance(node, qe.BinOp) and node.op in ("/", "%"))
+               for node in qe.walk(expr))
 
 
 #: DBC-registered planners for extension box kinds.

@@ -71,6 +71,18 @@ class CostModel:
             return 10
         return stats.n_distinct(ref.column)
 
+    def known_distinct(self, refs) -> Optional[float]:
+        """Distinct value combinations of ``refs`` when the statistics
+        know every column's distinct count (the product bounds the
+        combinations); None when any column lacks statistics."""
+        combinations = 1.0
+        for ref in refs:
+            _stats, column = self._column_stats(ref)
+            if column is None or column.n_distinct <= 0:
+                return None
+            combinations *= column.n_distinct
+        return combinations
+
     def table_cardinality(self, table_name: str) -> float:
         return float(max(1, self.catalog.statistics(table_name).row_count))
 

@@ -471,6 +471,9 @@ class SubqueryJoin(PlanOp):
 
     This is the evaluate-on-demand operator: the inner plan is evaluated
     lazily per outer row, with caching keyed on the correlation values.
+    The inner is billed once per distinct correlation value: the catalog
+    statistics' distinct count when they know it (capped at the outer
+    cardinality), else a fifth of the outer rows.
     """
 
     op_name = "SUBQJOIN"
@@ -483,11 +486,17 @@ class SubqueryJoin(PlanOp):
         self.subplans = [binding]
         self.preds = list(preds)
         inner = binding.plan
-        correlated = bool(binding.correlation)
-        evaluations = outer.props.card if correlated else 1.0
+        evaluations = 1.0
+        if binding.correlation:
+            distinct = cm.known_distinct(binding.correlation)
+            evaluations = (min(outer.props.card, distinct)
+                           if distinct is not None
+                           else min(outer.props.card,
+                                    max(1.0, outer.props.card * 0.2)))
+        #: Estimated inner evaluations.
+        self.evaluations = evaluations
         cost = (outer.props.cost
-                + inner.props.cost * min(evaluations,
-                                         max(1.0, outer.props.card * 0.2))
+                + inner.props.cost * evaluations
                 + cm.per_row_cpu(outer.props.card * max(1.0, inner.props.card)))
         selectivity = 1.0
         for predicate in self.preds:

@@ -268,7 +268,8 @@ def default_star_array() -> Dict[str, STAR]:
     - ``AccessRoot(quantifier, preds, child_plan?)`` — all ways to produce a
       stream for one iterator (table scan, every matching index, derived),
     - ``JoinRoot(outer, inner, preds)`` — all ways to join two plan sets,
-    - ``SubqueryRoot(outer, binding, kind, preds)`` — subquery join kinds,
+    - ``SubqueryRoot(outer, binding, kind, preds, decorrelated?)`` —
+      subquery join kinds, per row (SUBQJOIN) or set-wise (hash join),
     - ``RequireOrder(plan, keys)`` / ``RequireSite(plan, site)`` — glue.
     """
 
@@ -453,9 +454,27 @@ def default_star_array() -> Dict[str, STAR]:
     # ---- subquery join kinds -------------------------------------------------------
 
     def subquery_join(gen: PlanGenerator, args: Args) -> List[PlanOp]:
+        # Two strategies for one join kind.  Per row: SUBQJOIN evaluates
+        # the correlated subplan on demand.  Set-wise: when the planner
+        # could decorrelate the subquery (``decorrelated`` = inner plan,
+        # outer keys, inner keys), a hash join of that kind runs it once.
+        # The cheaper wins; a forced method pins the choice as in
+        # JoinRoot.
         binding: SubplanBinding = args["binding"]
-        return [SubqueryJoin(gen.cm, args["outer"], binding, args["kind"],
-                             args["preds"])]
+        outer, kind = args["outer"], args["kind"]
+        forced = getattr(gen.context.settings, "forced_join_method", None)
+        decorrelated = args.get("decorrelated")
+        if forced not in (None, "hash"):
+            decorrelated = None
+        plans: List[PlanOp] = []
+        if decorrelated is None or forced is None:
+            plans.append(SubqueryJoin(gen.cm, outer, binding, kind,
+                                      args["preds"]))
+        if decorrelated is not None:
+            inner, outer_keys, inner_keys = decorrelated
+            plans.append(HashJoin(gen.cm, outer, inner, kind, outer_keys,
+                                  inner_keys, args["preds"]))
+        return plans
 
     subquery_root = STAR("SubqueryRoot", [
         Alternative("SubqueryJoin", subquery_join, rank=1.0),

@@ -3,7 +3,7 @@ column (the index-nested-loop shape R* made famous)."""
 
 import pytest
 
-from repro import Database
+from repro import CompileOptions, Database
 from repro.optimizer.plans import IndexScan
 
 
@@ -29,11 +29,12 @@ class TestCorrelatedIndexProbe:
     SQL = ("SELECT oid FROM orders o WHERE EXISTS "
            "(SELECT 1 FROM customers c WHERE c.cid = o.cust "
            "AND c.region = 'west')")
+    #: The per-row strategy (SUBQJOIN): with 1500 outer rows the cost
+    #: model otherwise prefers the set-wise hash semijoin.
+    PER_ROW = CompileOptions(rewrite_enabled=False, forced_join_method="nl")
 
     def test_plan_uses_index_inside_subquery(self, probe_db):
-        probe_db.settings.rewrite_enabled = False
-        compiled = probe_db.compile(self.SQL)
-        probe_db.settings.rewrite_enabled = True
+        compiled = probe_db.compile(self.SQL, options=self.PER_ROW)
         index_scans = [n for n in compiled.plan.walk()
                        if isinstance(n, IndexScan)]
         assert index_scans, compiled.plan.explain()
@@ -42,9 +43,7 @@ class TestCorrelatedIndexProbe:
                    for scan in index_scans), compiled.plan.explain()
 
     def test_results_correct_and_probes_counted(self, probe_db):
-        probe_db.settings.rewrite_enabled = False
-        compiled = probe_db.compile(self.SQL)
-        probe_db.settings.rewrite_enabled = True
+        compiled = probe_db.compile(self.SQL, options=self.PER_ROW)
         result = probe_db.run_compiled(compiled)
         # even cust ids are 'west': half the orders qualify
         assert len(result.rows) == 750

@@ -202,9 +202,11 @@ def _region_roots(plan):
 @pytest.mark.parametrize("sql,root_index,backend", [
     ("SELECT k, v FROM kv WHERE v < 5", 0, "compiled"),
     ("SELECT id, g FROM mid WHERE g = 3", 0, "batch"),
-    # a batch scan under the tuple-only SUBQJOIN[exists]
+    # a batch scan under the tuple-only SUBQJOIN[exists] (the
+    # non-equality correlation keeps it per row, not set-wise)
     ("SELECT k FROM kv WHERE v < 3 AND EXISTS "
-     "(SELECT 1 FROM mid WHERE mid.id = kv.k)", 2, "batch"),
+     "(SELECT 1 FROM mid WHERE mid.id = kv.k AND mid.g < kv.v)", 2,
+     "batch"),
 ])
 def test_explain_analyze_probes_region_roots(mode_db, sql, root_index,
                                              backend):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.catalog import Catalog, ColumnDef, TableDef
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
+from repro.errors import ExecutionError
 from repro.executor.context import ExecutionContext
 from repro.executor.run import env_iter, execute_plan, rows_iter
 from repro.functions import FunctionRegistry, register_builtins
@@ -124,6 +125,42 @@ class TestJoinMethods:
             # 5 matches + unmatched left rows (1, 'a'), (None,'n')
             assert len(rows) == 7
             assert (1, None) in rows
+
+    def semijoin_rows(self, setup, cls, kind, residual=()):
+        engine, catalog, cm, ctx, lq, rq = setup
+        left = TableScan(cm, catalog.table("left_t"), lq, [])
+        right = TableScan(cm, catalog.table("right_t"), rq, [])
+        if cls is NLJoin:
+            join = NLJoin(cm, left, right, kind,
+                          [key_pred(lq, rq)] + list(residual))
+        else:
+            join = cls(cm, left, right, kind, [col(lq, "k")],
+                       [col(rq, "k")], [key_pred(lq, rq)], list(residual))
+        envs = list(env_iter(join, ctx, {}))
+        assert all(rq not in env for env in envs)  # never binds the inner
+        return sorted((env[lq] for env in envs),
+                      key=lambda row: (row[0] is None, row))
+
+    @pytest.mark.parametrize("cls", [NLJoin, MergeJoin, HashJoin])
+    def test_semi_and_anti_join_kinds(self, setup, cls):
+        # Each outer row at most once; a NULL outer key matches nothing.
+        assert self.semijoin_rows(setup, cls, "exists") == [
+            (2, "b"), (2, "bb"), (3, "c")]
+        assert self.semijoin_rows(setup, cls, "not_exists") == [
+            (1, "a"), (None, "n")]
+        _engine, _catalog, _cm, _ctx, _lq, rq = setup
+        residual = Predicate(qe.BinOp(">", col(rq, "w", DOUBLE),
+                                      qe.Const(2.5, DOUBLE), BOOLEAN))
+        assert self.semijoin_rows(setup, cls, "exists", [residual]) == [
+            (3, "c")]
+        assert self.semijoin_rows(setup, cls, "not_exists", [residual]) \
+            == [(1, "a"), (2, "b"), (2, "bb"), (None, "n")]
+
+    @pytest.mark.parametrize("cls", [NLJoin, MergeJoin, HashJoin])
+    def test_per_row_combine_kinds_are_refused(self, setup, cls):
+        # ALL needs every inner row's three-valued outcome: SUBQJOIN only.
+        with pytest.raises(ExecutionError, match="SUBQJOIN"):
+            self.semijoin_rows(setup, cls, "all")
 
     def test_temp_inner_nl_join(self, setup):
         engine, catalog, cm, ctx, lq, rq = setup
